@@ -27,14 +27,14 @@ def _parquet_bytes(pdf: pd.DataFrame, path: str) -> int:
     return os.path.getsize(path)
 
 
-def blend_bytes(index: BlendIndex, outdir: str) -> int:
+def blend_bytes(alltables: pd.DataFrame, outdir: str) -> int:
     """The unified index: one relation, six columns (Fig. 3)."""
-    return _parquet_bytes(index.pdf, os.path.join(outdir, "blend_alltables.parquet"))
+    return _parquet_bytes(alltables, os.path.join(outdir, "blend_alltables.parquet"))
 
 
-def dataxformer_bytes(index: BlendIndex, outdir: str) -> int:
+def dataxformer_bytes(alltables: pd.DataFrame, outdir: str) -> int:
     """DataXFormer [5]: the plain inverted index (value -> location)."""
-    pdf = index.pdf[["CellValue", "TableId", "ColumnId", "RowId"]]
+    pdf = alltables[["CellValue", "TableId", "ColumnId", "RowId"]]
     return _parquet_bytes(pdf, os.path.join(outdir, "dataxformer.parquet"))
 
 
@@ -86,9 +86,10 @@ def storage_report(index: BlendIndex, outdir: str) -> dict[str, int]:
     Returns bytes per structure plus the BLEND-vs-combination totals."""
     os.makedirs(outdir, exist_ok=True)
     lake = index.lake
+    alltables = index.df.toPandas()  # the cached index, pulled for measurement only
     sizes = {
-        "blend": blend_bytes(index, outdir),
-        "dataxformer": dataxformer_bytes(index, outdir),
+        "blend": blend_bytes(alltables, outdir),
+        "dataxformer": dataxformer_bytes(alltables, outdir),
         "josie": josie_bytes(Josie(lake), outdir),
         "mate": mate_bytes(Mate(lake), outdir),
         "qcr": qcr_bytes(QcrSketch(lake), outdir),

@@ -65,52 +65,59 @@ class CostModel:
 
 
 # --- random training-query sampling (§VII-B: "randomly sample 1000 input
-# Qs from the ... data lake") -- scaled down to laptop size ---------------
+# Qs from the ... data lake") -- scaled down to laptop size. Each sampler
+# draws from a big/small mixture so runtime genuinely varies with |Q| and
+# value frequency; otherwise ranking would not matter (Table IV). ---------
 
-def sample_sc_query(index: BlendIndex, g: np.random.Generator, k: int = 10) -> SC:
-    tids = list(index.lake.tables)
-    df = index.lake.tables[tids[g.integers(0, len(tids))]]
-    col = df.columns[g.integers(0, len(df.columns))]
-    m = int(g.integers(4, min(61, max(5, len(df)))))
-    vals = df[col].sample(n=min(m, len(df)), random_state=int(g.integers(0, 2**31)))
-    return SC(list(vals), k=k)
+def _rand_table(index: BlendIndex, g: np.random.Generator, min_cols: int = 1) -> pd.DataFrame:
+    tids = [t for t, df in index.lake.tables.items() if len(df.columns) >= min_cols]
+    return index.lake.tables[tids[int(g.integers(0, len(tids)))]]
 
 
-def sample_kw_query(index: BlendIndex, g: np.random.Generator, k: int = 10) -> KW:
+def sample_sc_query(index: BlendIndex, g: np.random.Generator) -> SC:
+    df = _rand_table(index, g)
+    col = df.columns[int(g.integers(0, len(df.columns)))]
+    big = g.random() < 0.5
+    m = int(g.integers(200, 600)) if big else int(g.integers(4, 15))
+    vals = [df[col].iloc[int(g.integers(0, len(df)))] for _ in range(m)]
+    return SC(vals, k=10)
+
+
+def sample_kw_query(index: BlendIndex, g: np.random.Generator) -> KW:
     pool = index.value_freq.index
-    m = int(g.integers(1, 9))
-    return KW([pool[i] for i in g.integers(0, len(pool), m)], k=k)
+    m = int(g.integers(2, 8))
+    return KW([pool[int(i)] for i in g.integers(0, len(pool), m)], k=10)
 
 
-def sample_mc_query(index: BlendIndex, g: np.random.Generator, k: int = 10) -> MC:
-    tids = [t for t, df in index.lake.tables.items() if len(df.columns) >= 2]
-    df = index.lake.tables[tids[g.integers(0, len(tids))]]
+def sample_mc_query(index: BlendIndex, g: np.random.Generator) -> MC:
+    df = _rand_table(index, g, min_cols=2)
     cols = list(g.choice(len(df.columns), size=2, replace=False))
-    m = int(g.integers(4, 21))
-    sub = df.iloc[:, cols].dropna().sample(
-        n=min(m, len(df.dropna())), random_state=int(g.integers(0, 2**31))
-    )
-    return MC(sub.reset_index(drop=True), k=k)
+    big = g.random() < 0.5
+    m = int(g.integers(40, 120)) if big else int(g.integers(3, 8))
+    sub = df.iloc[:, cols].dropna()
+    sub = sub.sample(n=min(m, len(sub)), replace=True,
+                     random_state=int(g.integers(0, 2**31)))
+    return MC(sub.reset_index(drop=True), k=10)
 
 
-def sample_c_query(index: BlendIndex, g: np.random.Generator, k: int = 10, h: int = 256) -> C:
+def sample_c_query(index: BlendIndex, g: np.random.Generator) -> C:
     cands = []
     for t, df in index.lake.tables.items():
         nums = [c for c in df.columns if pd.api.types.is_numeric_dtype(df[c])]
         if nums and len(df.columns) >= 2:
             cands.append((t, nums))
-    t, nums = cands[g.integers(0, len(cands))]
+    t, nums = cands[int(g.integers(0, len(cands)))]
     df = index.lake.tables[t]
-    num = nums[g.integers(0, len(nums))]
-    others = [c for c in df.columns if c != num]
-    key = others[g.integers(0, len(others))]
-    m = int(g.integers(8, min(81, max(9, len(df)))))
+    num = nums[int(g.integers(0, len(nums)))]
+    key = [c for c in df.columns if c != num][0]
+    big = g.random() < 0.5
+    m = int(g.integers(150, 400)) if big else int(g.integers(5, 15))
     sub = df[[key, num]].dropna().head(m)
-    return C(list(sub[key]), list(sub[num]), k=k, h=h)
+    return C(list(sub[key]), list(sub[num]), k=10)
 
 
-_SAMPLERS = {"SC": sample_sc_query, "KW": sample_kw_query,
-             "MC": sample_mc_query, "C": sample_c_query}
+SAMPLERS = {"SC": sample_sc_query, "KW": sample_kw_query,
+            "MC": sample_mc_query, "C": sample_c_query}
 
 
 def train_cost_model(
@@ -125,7 +132,7 @@ def train_cost_model(
     samples = []
     for t in types:
         for _ in range(n_per_type):
-            seeker = _SAMPLERS[t](index, g)
+            seeker = SAMPLERS[t](index, g)
             res = seeker.run(index)
             samples.append((t, featurize(seeker, index), res.seconds))
     return CostModel().fit(samples)

@@ -1,6 +1,6 @@
 """Plan optimization and execution (paper §VII-B).
 
-Two execution modes:
+Two execution modes share one topological node loop:
 
 - **BLEND** (``optimize=True``): the optimizer identifies *execution
   groups* (EGs) — seekers feeding the same Intersection combiner — orders
@@ -13,58 +13,43 @@ Two execution modes:
   ``NOT IN``. Union members run independently (no rewriting) — exactly
   the paper's rewrite table.
 
-- **B-NO** (``optimize=False``): every seeker runs independently in plan
-  insertion order, combiners are applied at the application level — the
-  paper's unoptimized baseline in Table III.
+- **B-NO** (``optimize=False``): every seeker runs independently at its
+  own position in plan order, combiners are applied at the application
+  level — the paper's unoptimized baseline in Table III.
 
 Rewriting is only applied to seekers with a *single* consumer: a result
-filtered for one combiner would be incorrect input for another.
+filtered for one combiner would be incorrect input for another. So BLEND
+defers exactly those seekers to their combiner; every other seeker runs
+plain at its own position, as under B-NO.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
-from .combiners import Counter, Difference, Intersect, Union
+from .combiners import Counter, Difference, Intersect
 from .cost_model import CostModel, rank_seekers
 from .index import BlendIndex
 from .plan import Node, Plan
-from .seekers import KW, SC, SeekerResult
+from .seekers import SC
 
 
 @dataclass
 class PlanResult:
-    """Execution outcome: per-node ranked outputs + bookkeeping."""
+    """Execution outcome: per-node ranked outputs + bookkeeping.
 
-    outputs: dict[str, list[int]]
-    result: list[int]
-    seconds: float
+    Seekers folded into a Counter push-down never produce an output of
+    their own, so they are absent from ``outputs`` (but listed in
+    ``order``); the push-down's statement time is recorded under the
+    Counter's name in ``seeker_seconds``."""
+
+    outputs: dict[str, list[int]] = field(default_factory=dict)
+    result: list[int] = field(default_factory=list)
+    seconds: float = 0.0
     seeker_seconds: dict[str, float] = field(default_factory=dict)
     sqls: list[str] = field(default_factory=list)
     order: list[str] = field(default_factory=list)  # seeker execution order
     rewrites: dict[str, str] = field(default_factory=dict)  # node -> rewrite kind
-
-
-def _run_seeker(
-    node: Node, index: BlendIndex, state: "_State", tid_filter=None, rewrite: str | None = None
-) -> list[int]:
-    res: SeekerResult = node.op.run(index, tid_filter)
-    state.outputs[node.name] = res.tables
-    state.seeker_seconds[node.name] = res.seconds
-    state.sqls.append(res.sql)
-    state.order.append(node.name)
-    if rewrite:
-        state.rewrites[node.name] = rewrite
-    return res.tables
-
-
-@dataclass
-class _State:
-    outputs: dict[str, list[int]] = field(default_factory=dict)
-    seeker_seconds: dict[str, float] = field(default_factory=dict)
-    sqls: list[str] = field(default_factory=list)
-    order: list[str] = field(default_factory=list)
-    rewrites: dict[str, str] = field(default_factory=dict)
 
 
 def execute_plan(
@@ -76,120 +61,73 @@ def execute_plan(
 ) -> PlanResult:
     """Execute ``plan`` against ``index``; see module docstring."""
     t0 = time.perf_counter()
-    state = _State()
+    out = PlanResult()
     consumers = plan.consumers()
-    topo = plan.topological()
 
-    if not optimize:
-        for node in plan.topological():
-            if node.is_seeker:
-                _run_seeker(node, index, state)
-        for node in topo:
-            if not node.is_seeker:
-                state.outputs[node.name] = node.op.apply(
-                    [state.outputs[i] for i in node.inputs]
-                )
-        return _finish(plan, state, t0)
+    def run(node: Node, tid_filter=None) -> list[int]:
+        res = node.op.run(index, tid_filter)
+        out.outputs[node.name] = res.tables
+        out.seeker_seconds[node.name] = res.seconds
+        out.sqls.append(res.sql)
+        out.order.append(node.name)
+        if tid_filter is not None:
+            out.rewrites[node.name] = tid_filter[0]
+        return res.tables
 
-    for node in topo:
-        if node.name in state.outputs:
-            continue
+    for node in plan.topological():
         if node.is_seeker:
-            # executed lazily by its consumer's EG when it has exactly one
-            # consumer (rewriting opportunity); otherwise run it plain now
-            if len(consumers[node.name]) == 1:
-                continue
-            _run_seeker(node, index, state)
+            # BLEND leaves a single-consumer seeker to its combiner's EG
+            if not (optimize and len(consumers[node.name]) == 1):
+                run(node)
             continue
 
         comb = node.op
-        # input nodes not yet computed and exclusively owned by this combiner
-        pending = [
-            plan.nodes[i]
-            for i in node.inputs
-            if i not in state.outputs
-        ]
-        # anything already computed (shared seekers ran above; upstream
-        # combiners appear earlier in topo order)
-        for p in list(pending):
-            if not p.is_seeker:
-                # nested combiner whose output is still missing can only
-                # happen if it is itself exclusively consumed here — but
-                # combiners are always computed at their own topo position,
-                # so this is unreachable; guard anyway.
-                pending.remove(p)
-
+        # seekers deferred to this combiner; empty under B-NO
+        pending = [plan.nodes[i] for i in node.inputs if i not in out.outputs]
         if isinstance(comb, Intersect):
             # --- Execution Group: rank seekers, chain IN-rewrites
-            computed = [i for i in node.inputs if i in state.outputs]
             ir: list[int] | None = None
-            for name in computed:
-                tabs = state.outputs[name]
-                ir = tabs if ir is None else [t for t in ir if t in set(tabs)]
-            ranked = rank_seekers([(p.name, p.op) for p in pending], index, cost_model)
-            for name, _ in ranked:
-                node_p = plan.nodes[name]
-                filt = ("IN", ir) if ir is not None else None
-                tabs = _run_seeker(
-                    node_p, index, state, filt, rewrite="IN" if ir is not None else None
-                )
+            for name in node.inputs:
+                if name in out.outputs:  # shared seekers and upstream combiners
+                    tabs = out.outputs[name]
+                    ir = tabs if ir is None else [t for t in ir if t in set(tabs)]
+            for name, _ in rank_seekers([(p.name, p.op) for p in pending], index, cost_model):
+                tabs = run(plan.nodes[name], None if ir is None else ("IN", ir))
                 ir = tabs if ir is None else [t for t in tabs if t in set(ir)]
         elif isinstance(comb, Difference):
             a_name, b_name = node.inputs
             # subtrahend first (its tables become the NOT IN filter)
-            if b_name not in state.outputs:
-                _run_seeker(plan.nodes[b_name], index, state)
-            if a_name not in state.outputs:
-                _run_seeker(
-                    plan.nodes[a_name],
-                    index,
-                    state,
-                    ("NOT IN", state.outputs[b_name]),
-                    rewrite="NOT IN",
-                )
-        elif isinstance(comb, Counter):
-            pushable = pending and all(
-                isinstance(p.op, (SC, KW)) for p in pending
-            ) and len(pending) == len(node.inputs)
-            if pushable:
-                inner = "\nUNION ALL\n".join(
-                    f"({p.op.inner_sql(index.view)})" for p in pending
-                )
-                sql = (
-                    "SELECT TableId, COUNT(*) AS cnt FROM (\n"
-                    f"{inner}\n) hits\n"
-                    "GROUP BY TableId\n"
-                    f"ORDER BY cnt DESC, TableId ASC\nLIMIT {comb.k}"
-                )
-                ts = time.perf_counter()
-                rows = index.spark.sql(sql).collect()
-                state.sqls.append(sql)
-                state.rewrites[node.name] = "COUNT-pushdown"
-                state.seeker_seconds[node.name] = time.perf_counter() - ts
-                state.outputs[node.name] = [r.TableId for r in rows]
-                # members were folded into the push-down; mark them executed
-                for p in pending:
-                    state.outputs.setdefault(p.name, [])
-                    state.order.append(p.name)
-                continue
+            if b_name not in out.outputs:
+                run(plan.nodes[b_name])
+            if a_name not in out.outputs:
+                run(plan.nodes[a_name], ("NOT IN", out.outputs[b_name]))
+        elif (
+            isinstance(comb, Counter)
+            and pending
+            and len(pending) == len(node.inputs)
+            and all(isinstance(p.op, SC) for p in pending)  # SC or KW
+        ):
+            inner = "\nUNION ALL\n".join(f"({p.op.inner_sql(index.view)})" for p in pending)
+            sql = (
+                "SELECT TableId, COUNT(*) AS cnt FROM (\n"
+                f"{inner}\n) hits\n"
+                "GROUP BY TableId\n"
+                f"ORDER BY cnt DESC, TableId ASC\nLIMIT {comb.k}"
+            )
+            ts = time.perf_counter()
+            rows = index.spark.sql(sql).collect()
+            out.sqls.append(sql)
+            out.rewrites[node.name] = "COUNT-pushdown"
+            out.seeker_seconds[node.name] = time.perf_counter() - ts
+            out.outputs[node.name] = [r.TableId for r in rows]
+            out.order.extend(p.name for p in pending)
+            continue
+        else:  # Union, or a Counter that cannot be pushed down: no rewriting
             for p in pending:
-                _run_seeker(p, index, state)
-        else:  # Union — no rewriting (paper's rewrite table)
-            for p in pending:
-                _run_seeker(p, index, state)
+                run(p)
 
-        state.outputs[node.name] = comb.apply([state.outputs[i] for i in node.inputs])
+        out.outputs[node.name] = comb.apply([out.outputs[i] for i in node.inputs])
 
-    return _finish(plan, state, t0)
-
-
-def _finish(plan: Plan, state: _State, t0: float) -> PlanResult:
-    return PlanResult(
-        outputs=state.outputs,
-        result=state.outputs[plan.result_node],
-        seconds=time.perf_counter() - t0,
-        seeker_seconds=state.seeker_seconds,
-        sqls=state.sqls,
-        order=state.order,
-        rewrites=state.rewrites,
-    )
+    out.result = out.outputs[plan.result_node]
+    out.seconds = time.perf_counter() - t0
+    return out

@@ -16,7 +16,6 @@ the Spark/Catalyst engine plays the paper's in-DB optimizer role.
 """
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -46,45 +45,32 @@ def table_long_frame(
 ) -> pd.DataFrame:
     """Melt one lake table into AllTables rows (pandas, offline phase).
 
-    ``row_perm`` (optional) maps original row position -> RowId, used by
-    the shuffled index variant (BLEND (rand), Table VII).
+    Rows come column by column, top to bottom; NULL cells match nothing
+    and are left out. ``row_perm`` (optional) maps original row position
+    -> RowId, used by the shuffled index variant (BLEND (rand), Table VII).
     """
     n = len(df)
     row_ids = row_perm if row_perm is not None else np.arange(n)
-    normed: list[list[str | None]] = []
-    quads: list[list[bool | None]] = []
-    for col in df.columns:
-        s = df[col]
-        vals = [norm_cell(v) for v in s.tolist()]
-        normed.append(vals)
+    cells = np.empty((len(df.columns), n), dtype=object)  # [column, row]
+    quads = np.full(cells.shape, None, dtype=object)
+    for j in range(len(df.columns)):
+        s = df.iloc[:, j]
+        cells[j] = [norm_cell(v) for v in s.tolist()]
         if pd.api.types.is_numeric_dtype(s) and s.notna().any():
             mean = float(s.astype(float).mean())
-            quads.append([bool(float(v) >= mean) if pd.notna(v) else None for v in s.tolist()])
-        else:
-            quads.append([None] * n)
-    skeys = [
-        super_key(normed[j][i] for j in range(len(df.columns))) for i in range(n)
-    ]
-    recs = {
-        "CellValue": [],
-        "TableId": [],
-        "ColumnId": [],
-        "RowId": [],
-        "SuperKey": [],
-        "Quadrant": [],
-    }
-    for j in range(len(df.columns)):
-        for i in range(n):
-            v = normed[j][i]
-            if v is None:
-                continue  # NULL cells match nothing; keep them out
-            recs["CellValue"].append(v)
-            recs["TableId"].append(tid)
-            recs["ColumnId"].append(j)
-            recs["RowId"].append(int(row_ids[i]))
-            recs["SuperKey"].append(skeys[i])
-            recs["Quadrant"].append(quads[j][i])
-    return pd.DataFrame(recs)
+            quads[j] = [bool(float(v) >= mean) if pd.notna(v) else None for v in s.tolist()]
+    skeys = np.array([super_key(cells[:, i]) for i in range(n)], dtype=np.int64)
+    cols, rows = np.nonzero(cells != None)  # noqa: E711 (elementwise)
+    return pd.DataFrame(
+        {
+            "CellValue": cells[cols, rows],
+            "TableId": np.full(len(cols), tid, dtype=np.int64),
+            "ColumnId": cols.astype(np.int64),
+            "RowId": row_ids[rows].astype(np.int64),
+            "SuperKey": skeys[rows],
+            "Quadrant": quads[cols, rows].tolist(),
+        }
+    )
 
 
 def build_alltables_pdf(lake: DataLake, *, shuffle_rows: bool = False, seed: int = 0) -> tuple[pd.DataFrame, dict[int, np.ndarray]]:
@@ -122,7 +108,6 @@ class BlendIndex:
     df: DataFrame
     view: str
     lake: DataLake
-    pdf: pd.DataFrame  # pandas copy — powers the DuckDB oracle + stats
     row_maps: dict[int, np.ndarray]
     build_seconds: float
     value_freq: pd.Series = field(repr=False, default=None)
@@ -138,20 +123,6 @@ class BlendIndex:
         """The raw lake row behind an index RowId (handles shuffling)."""
         return self.lake.tables[tid].iloc[self.row_maps[tid][row_id]]
 
-    def write_parquet(self, path: str) -> int:
-        """Serialize the unified index to Parquet; returns bytes on disk
-        (Table VIII storage measurement)."""
-        self.df.write.mode("overwrite").parquet(path)
-        return dir_bytes(path)
-
-
-def dir_bytes(path: str) -> int:
-    total = 0
-    for root, _, files in os.walk(path):
-        for f in files:
-            total += os.path.getsize(os.path.join(root, f))
-    return total
-
 
 def build_index(
     spark: SparkSession,
@@ -160,14 +131,13 @@ def build_index(
     view: str = "AllTables",
     shuffle_rows: bool = False,
     seed: int = 0,
-    cache: bool = True,
 ) -> BlendIndex:
-    """Offline phase (paper Fig. 2e): build and register the unified index."""
+    """Offline phase (paper Fig. 2e): build and register the unified index.
+    The pandas melt is released once Spark holds the cached copy; only its
+    value frequencies stay on the driver."""
     t0 = time.perf_counter()
     pdf, row_maps = build_alltables_pdf(lake, shuffle_rows=shuffle_rows, seed=seed)
-    sdf = spark.createDataFrame(pdf, schema=INDEX_SCHEMA)
-    if cache:
-        sdf = sdf.cache()
+    sdf = spark.createDataFrame(pdf, schema=INDEX_SCHEMA).cache()
     sdf.createOrReplaceTempView(view)
     n = sdf.count()  # materialize the cache
     assert n == len(pdf)
@@ -177,7 +147,6 @@ def build_index(
         df=sdf,
         view=view,
         lake=lake,
-        pdf=pdf,
         row_maps=row_maps,
         build_seconds=time.perf_counter() - t0,
         value_freq=freq,

@@ -19,21 +19,20 @@ import pandas as pd
 
 from .index import BlendIndex
 from .values import norm_cell, norm_values, sql_in_list
-from .xash import covers, super_key
+from .xash import super_key
 
 TidFilter = tuple[str, list[int]] | None  # ("IN" | "NOT IN", table ids)
 
 
-def _tid_predicate(tid_filter: TidFilter, qualifier: str = "") -> str:
+def _tid_predicate(tid_filter: TidFilter) -> str:
     """Render the rewrite placeholder. Empty string when no rewrite."""
     if tid_filter is None:
         return ""
     op, ids = tid_filter
-    col = f"{qualifier}TableId"
     if not ids:
         # empty intermediate result: IN () matches nothing, NOT IN () everything
-        return f"AND 1=0 " if op == "IN" else ""
-    return f"AND {col} {op} ({', '.join(str(int(t)) for t in ids)}) "
+        return "AND 1=0 " if op == "IN" else ""
+    return f"AND TableId {op} ({', '.join(str(int(t)) for t in ids)}) "
 
 
 @dataclass
@@ -61,10 +60,15 @@ def _dedupe_topk(rows: list[tuple[int, float]], k: int) -> tuple[list[int], dict
 
 
 class Seeker:
-    """Base class: common cost-model features + execution wrapper."""
+    """Base class: common cost-model features + execution template.
+
+    ``run`` executes ``sql`` and keeps the first ``k`` distinct tables of
+    the ranked ``(TableId, score)`` rows that reach ``min_score``. SC, KW
+    and C use it as is; MC validates rows after its SQL and has its own."""
 
     type_name: str = "?"
     k: int = 10
+    min_score: float = 0.0
 
     # --- features used by the optimizer (§VII-B Learning-based cost est.)
     def input_cardinality(self) -> int:
@@ -80,13 +84,20 @@ class Seeker:
     def sql(self, view: str, tid_filter: TidFilter = None) -> str:
         raise NotImplementedError
 
-    def inner_sql(self, view: str, tid_filter: TidFilter = None) -> str | None:
-        """SQL emitting one ``TableId`` row per hit (for the Counter
-        combiner's in-DB push-down). None when push-down is unsupported."""
-        return None
+    def inner_sql(self, view: str, tid_filter: TidFilter = None) -> str:
+        """SQL emitting one ``TableId`` row per table ``run`` returns, for
+        the Counter combiner's in-DB push-down (the executor pushes down
+        SC and KW only). DISTINCT gives a table one vote however many of
+        its columns match, as ``Counter.apply`` does."""
+        return f"SELECT DISTINCT TableId FROM (\n{self.sql(view, tid_filter)}\n)"
 
     def run(self, index: BlendIndex, tid_filter: TidFilter = None) -> SeekerResult:
-        raise NotImplementedError
+        t0 = time.perf_counter()
+        sql = self.sql(index.view, tid_filter)
+        rows = index.spark.sql(sql).collect()
+        hits = [(r.TableId, r.score) for r in rows if r.score >= self.min_score]
+        tables, scores = _dedupe_topk(hits, self.k)
+        return SeekerResult(tables, scores, sql, time.perf_counter() - t0)
 
 
 @dataclass
@@ -99,6 +110,8 @@ class SC(Seeker):
     values: list
     k: int = 10
     type_name: str = "SC"
+    #: GROUP BY keys, also the ORDER BY tie-breaks: overlap per column
+    keys = ("TableId", "ColumnId")
 
     def __post_init__(self):
         self.q = norm_values(self.values)
@@ -113,66 +126,24 @@ class SC(Seeker):
         return index.avg_frequency(self.q)
 
     def sql(self, view: str, tid_filter: TidFilter = None) -> str:
+        keys = ", ".join(self.keys)
         return (
-            "SELECT TableId, ColumnId, COUNT(DISTINCT CellValue) AS overlap\n"
+            f"SELECT {keys}, COUNT(DISTINCT CellValue) AS score\n"
             f"FROM {view}\n"
             f"WHERE CellValue IN ({sql_in_list(self.q)}) {_tid_predicate(tid_filter)}\n"
-            "GROUP BY TableId, ColumnId\n"
-            "ORDER BY overlap DESC, TableId ASC, ColumnId ASC\n"
+            f"GROUP BY {keys}\n"
+            f"ORDER BY score DESC, {' ASC, '.join(self.keys)} ASC\n"
             f"LIMIT {self.k}"
         )
-
-    def inner_sql(self, view: str, tid_filter: TidFilter = None) -> str:
-        return f"SELECT TableId FROM (\n{self.sql(view, tid_filter)}\n)"
-
-    def run(self, index: BlendIndex, tid_filter: TidFilter = None) -> SeekerResult:
-        t0 = time.perf_counter()
-        sql = self.sql(index.view, tid_filter)
-        rows = index.spark.sql(sql).collect()
-        tables, scores = _dedupe_topk([(r.TableId, r.overlap) for r in rows], self.k)
-        return SeekerResult(tables, scores, sql, time.perf_counter() - t0)
 
 
 @dataclass
-class KW(Seeker):
+class KW(SC):
     """Keyword seeker — SC without ColumnId in the GROUP BY (§VI):
     overlap is counted over whole tables, not single columns."""
 
-    keywords: list
-    k: int = 10
     type_name: str = "KW"
-
-    def __post_init__(self):
-        self.q = norm_values(self.keywords)
-
-    def input_cardinality(self) -> int:
-        return len(self.q)
-
-    def n_columns(self) -> int:
-        return 1
-
-    def avg_frequency(self, index: BlendIndex) -> float:
-        return index.avg_frequency(self.q)
-
-    def sql(self, view: str, tid_filter: TidFilter = None) -> str:
-        return (
-            "SELECT TableId, COUNT(DISTINCT CellValue) AS overlap\n"
-            f"FROM {view}\n"
-            f"WHERE CellValue IN ({sql_in_list(self.q)}) {_tid_predicate(tid_filter)}\n"
-            "GROUP BY TableId\n"
-            "ORDER BY overlap DESC, TableId ASC\n"
-            f"LIMIT {self.k}"
-        )
-
-    def inner_sql(self, view: str, tid_filter: TidFilter = None) -> str:
-        return f"SELECT TableId FROM (\n{self.sql(view, tid_filter)}\n)"
-
-    def run(self, index: BlendIndex, tid_filter: TidFilter = None) -> SeekerResult:
-        t0 = time.perf_counter()
-        sql = self.sql(index.view, tid_filter)
-        rows = index.spark.sql(sql).collect()
-        tables, scores = _dedupe_topk([(r.TableId, r.overlap) for r in rows], self.k)
-        return SeekerResult(tables, scores, sql, time.perf_counter() - t0)
+    keys = ("TableId",)
 
 
 @dataclass
@@ -325,6 +296,10 @@ class C(Seeker):
     def q(self) -> list[str]:
         return self.k0 + self.k1
 
+    @property
+    def min_score(self) -> float:
+        return self.min_qcr
+
     def input_cardinality(self) -> int:
         return len(self.k0) + len(self.k1)
 
@@ -342,7 +317,7 @@ class C(Seeker):
             "       ABS(CAST(2.0 AS DOUBLE) * SUM(CASE\n"
             f"             WHEN (jk.CellValue IN ({k1l}) AND num.Quadrant)\n"
             f"               OR (jk.CellValue IN ({k0l}) AND NOT num.Quadrant)\n"
-            "             THEN 1 ELSE 0 END) - COUNT(*)) / COUNT(*) AS qcr\n"
+            "             THEN 1 ELSE 0 END) - COUNT(*)) / COUNT(*) AS score\n"
             f"FROM (SELECT TableId, ColumnId, RowId, CellValue FROM {view}\n"
             f"      WHERE CellValue IN ({sql_in_list(self.q)})\n"
             f"        AND RowId < {self.h} {_tid_predicate(tid_filter)}) jk\n"
@@ -351,17 +326,9 @@ class C(Seeker):
             "  ON jk.TableId = num.TableId AND jk.RowId = num.RowId\n"
             " AND jk.ColumnId != num.ColumnId\n"
             "GROUP BY jk.TableId, jk.ColumnId, num.ColumnId\n"
-            "ORDER BY qcr DESC, TableId ASC, KeyCol ASC, NumCol ASC\n"
+            "ORDER BY score DESC, TableId ASC, KeyCol ASC, NumCol ASC\n"
             f"LIMIT {self.k}"
         )
-
-    def run(self, index: BlendIndex, tid_filter: TidFilter = None) -> SeekerResult:
-        t0 = time.perf_counter()
-        sql = self.sql(index.view, tid_filter)
-        rows = index.spark.sql(sql).collect()
-        hits = [(r.TableId, r.qcr) for r in rows if r.qcr >= self.min_qcr]
-        tables, scores = _dedupe_topk(hits, self.k)
-        return SeekerResult(tables, scores, sql, time.perf_counter() - t0)
 
 
 #: rule-based ranking order (§VII-B Rules 1–3): KW first, MC last, SC over C

@@ -15,12 +15,11 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pandas as pd
 
 from ..core import build_index
-from ..core.cost_model import CostModel, featurize, rank_seekers
+from ..core.cost_model import SAMPLERS, CostModel, rank_seekers, train_cost_model
 from ..core.index import BlendIndex
-from ..core.seekers import C, KW, MC, SC, Seeker
+from ..core.seekers import Seeker
 from ..lake import DataLake, corr_lake, webtable_lake
 from .common import mean
 
@@ -49,59 +48,6 @@ def build_table4_lake(scale: str = "bench", seed: int = 200) -> DataLake:
     return lake
 
 
-# --- wide-range query samplers: runtime must genuinely vary with |Q| and
-# value frequency for ranking to matter --------------------------------
-
-def _rand_table(index: BlendIndex, g, min_cols=1):
-    tids = [t for t, df in index.lake.tables.items() if len(df.columns) >= min_cols]
-    return index.lake.tables[tids[int(g.integers(0, len(tids)))]]
-
-
-def _sc(index: BlendIndex, g) -> SC:
-    df = _rand_table(index, g)
-    col = df.columns[int(g.integers(0, len(df.columns)))]
-    big = g.random() < 0.5
-    m = int(g.integers(200, 600)) if big else int(g.integers(4, 15))
-    vals = [df[col].iloc[int(g.integers(0, len(df)))] for _ in range(m)]
-    return SC(vals, k=10)
-
-
-def _kw(index: BlendIndex, g) -> KW:
-    pool = index.value_freq.index
-    m = int(g.integers(2, 8))
-    return KW([pool[int(i)] for i in g.integers(0, len(pool), m)], k=10)
-
-
-def _mc(index: BlendIndex, g) -> MC:
-    df = _rand_table(index, g, min_cols=2)
-    cols = list(g.choice(len(df.columns), size=2, replace=False))
-    big = g.random() < 0.5
-    m = int(g.integers(40, 120)) if big else int(g.integers(3, 8))
-    sub = df.iloc[:, cols].dropna()
-    sub = sub.sample(n=min(m, len(sub)), replace=True,
-                     random_state=int(g.integers(0, 2**31)))
-    return MC(sub.reset_index(drop=True), k=10)
-
-
-def _c(index: BlendIndex, g) -> C:
-    cands = []
-    for t, df in index.lake.tables.items():
-        nums = [c for c in df.columns if pd.api.types.is_numeric_dtype(df[c])]
-        if nums and len(df.columns) >= 2:
-            cands.append((t, nums))
-    t, nums = cands[int(g.integers(0, len(cands)))]
-    df = index.lake.tables[t]
-    num = nums[int(g.integers(0, len(nums)))]
-    key = [c for c in df.columns if c != num][0]
-    big = g.random() < 0.5
-    m = int(g.integers(150, 400)) if big else int(g.integers(5, 15))
-    sub = df[[key, num]].dropna().head(m)
-    return C(list(sub[key]), list(sub[num]), k=10)
-
-
-_GEN = {"SC": _sc, "KW": _kw, "MC": _mc, "C": _c}
-
-
 def _chain_seconds(index: BlendIndex, first: Seeker, second: Seeker) -> float:
     """Execute the 2-seeker EG in the given order with rewriting.
     Min of two runs — strips GC/compilation spikes that would otherwise
@@ -118,7 +64,7 @@ def _experiment(index: BlendIndex, cm: CostModel, kinds, n_plans: int, g) -> dic
     rand_t, blend_t, ideal_t, hits = [], [], [], []
     for _ in range(n_plans):
         ka, kb = kinds(g)
-        a, b = _GEN[ka](index, g), _GEN[kb](index, g)
+        a, b = SAMPLERS[ka](index, g), SAMPLERS[kb](index, g)
         t_ab = _chain_seconds(index, a, b)
         t_ba = _chain_seconds(index, b, a)
         t0 = time.perf_counter()
@@ -150,13 +96,7 @@ def run_table4(spark, scale: str = "bench", seed: int = 200) -> list[dict]:
     index = build_index(spark, lake, view="AllTablesT4")
     # offline training on random Qs drawn from the same lake and the same
     # query distribution (§VII-B); doubles as JVM/Catalyst warm-up
-    gt = np.random.default_rng(seed + 7)
-    samples = []
-    for t, gen in _GEN.items():
-        for _ in range(p["n_train"]):
-            s = gen(index, gt)
-            samples.append((t, featurize(s, index), s.run(index).seconds))
-    cm = CostModel().fit(samples)
+    cm = train_cost_model(index, n_per_type=p["n_train"], seed=seed + 7)
 
     def mixed(g):
         ks = ["KW", "SC", "C", "MC"]

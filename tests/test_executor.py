@@ -173,3 +173,65 @@ def test_multi_objective_plan_executes(tiny_lake, tiny_index):
     noopt = execute_plan(plan, tiny_index, optimize=False)
     assert tid in opt.result
     assert opt.result == noopt.result
+
+
+# --- Counter push-down: one vote per table ----------------------------------
+
+@pytest.fixture(scope="module")
+def vote_index(sparks):
+    """t0 matches the first query in two columns; t1/t2 match each query
+    in one column."""
+    from repro.core import build_index
+    from repro.lake import DataLake
+
+    lake = DataLake()
+    lake.add("t0", pd.DataFrame({"a": list("abcd"), "b": list("abcd")}))
+    lake.add("t1", pd.DataFrame({"a": list("abcd"), "x": list("wxyz")}))
+    lake.add("t2", pd.DataFrame({"a": list("abcd"), "x": list("pqrs")}))
+    return build_index(sparks, lake, view="TestCounterVotes")
+
+
+def _vote_plan():
+    plan = Plan()
+    plan.add("s0", Seekers.SC(list("abcd"), k=3))
+    plan.add("s1", Seekers.SC(list("wxpq"), k=3))
+    plan.add("cnt", Combiners.Counter(k=3), ["s0", "s1"])
+    return plan
+
+
+def test_counter_pushdown_counts_each_table_once(vote_index):
+    """A table matching one seeker in two columns gets one vote, as in
+    Counter.apply, not one per column."""
+    opt = execute_plan(_vote_plan(), vote_index, optimize=True)
+    noopt = execute_plan(_vote_plan(), vote_index, optimize=False)
+    assert opt.rewrites.get("cnt") == "COUNT-pushdown"
+    assert noopt.result == [1, 0, 2]
+    assert opt.result == noopt.result
+
+
+def test_pushdown_members_absent_from_outputs(vote_index):
+    opt = execute_plan(_vote_plan(), vote_index, optimize=True)
+    assert "s0" not in opt.outputs and "s1" not in opt.outputs
+    assert opt.order == ["s0", "s1"]
+    assert set(opt.outputs) == {"cnt"}
+
+
+def test_blend_outputs_subset_of_bno(tiny_lake, tiny_index):
+    """Every node BLEND reports an output for, B-NO reports too."""
+    v0, _ = _col(tiny_lake, 0, col=0)
+    v1, _ = _col(tiny_lake, 0, col=1)
+    q, _ = sample_mc_query(tiny_lake, gid=0, n_rows=5, seed=36)
+    plan = Plan()
+    plan.add("s0", Seekers.SC(v0, k=BIG_K))
+    plan.add("s1", Seekers.SC(v1, k=BIG_K))
+    plan.add("cnt", Combiners.Counter(k=BIG_K), ["s0", "s1"])
+    plan.add("kw", Seekers.KW(v0[:3], k=BIG_K))
+    plan.add("mc", Seekers.MC(q, k=BIG_K))
+    plan.add("i", Combiners.Intersect(k=BIG_K), ["cnt", "kw"])
+    plan.add("d", Combiners.Difference(k=BIG_K), ["i", "mc"])
+    opt = execute_plan(plan, tiny_index, optimize=True)
+    noopt = execute_plan(plan, tiny_index, optimize=False)
+    assert set(noopt.outputs) == set(plan.nodes)
+    assert set(opt.outputs) <= set(noopt.outputs)
+    assert set(noopt.outputs) - set(opt.outputs) == {"s0", "s1"}
+    assert opt.result == noopt.result

@@ -100,7 +100,7 @@ def test_c_sql_oracle(c_lake, c_index):
     _, keys, target = _query(c_lake, "cat", i=1)
     seeker = C(keys, target, k=50, h=10_000)
     spark_df = c_index.spark.sql(seeker.sql(c_index.view))
-    assert_equivalent(spark_df, seeker.sql("idx"), idx=c_index.pdf)
+    assert_equivalent(spark_df, seeker.sql("idx"), idx=c_index.df)
 
 
 def test_c_tid_filter(c_lake, c_index):

@@ -84,7 +84,7 @@ def test_mc_sql_oracle(mc_query, tiny_index):
     q, _ = mc_query
     seeker = MC(q, k=10)
     spark_df = tiny_index.spark.sql(seeker.sql(tiny_index.view))
-    assert_equivalent(spark_df, seeker.sql("idx"), idx=tiny_index.pdf)
+    assert_equivalent(spark_df, seeker.sql("idx"), idx=tiny_index.df)
 
 
 def test_mc_sql_requires_same_row(tiny_index, tiny_lake):

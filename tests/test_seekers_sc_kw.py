@@ -84,7 +84,7 @@ def test_sc_sql_oracle(tiny_lake, tiny_index):
     col = list(tiny_lake.tables[tid].iloc[:, 0])
     seeker = SC(col, k=50)
     spark_df = tiny_index.spark.sql(seeker.sql(tiny_index.view))
-    assert_equivalent(spark_df, seeker.sql("idx"), idx=tiny_index.pdf)
+    assert_equivalent(spark_df, seeker.sql("idx"), idx=tiny_index.df)
 
 
 def test_sc_normalizes_numeric_queries(sparks, tiny_index, tiny_lake):
@@ -137,7 +137,7 @@ def test_kw_sql_oracle(tiny_lake, tiny_index):
     df = tiny_lake.tables[tid]
     seeker = KW([df.iloc[0, 0], df.iloc[1, 1], df.iloc[2, 0]], k=50)
     spark_df = tiny_index.spark.sql(seeker.sql(tiny_index.view))
-    assert_equivalent(spark_df, seeker.sql("idx"), idx=tiny_index.pdf)
+    assert_equivalent(spark_df, seeker.sql("idx"), idx=tiny_index.df)
 
 
 def test_kw_tid_filter(tiny_lake, tiny_index):
